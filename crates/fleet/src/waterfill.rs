@@ -27,6 +27,16 @@
 /// Solves `Σᵢ clamp(λ, loᵢ, hiᵢ) = clamp(budget, Σ lo, Σ hi)` and returns
 /// the per-item shares `clamp(λ, loᵢ, hiᵢ)`.
 ///
+/// One pass costs O(n log n): the sort of the `2n` breakpoints, then a
+/// binary search that evaluates `S(λ)` (O(n) each) at about `log₂(2n)`
+/// of them. The binary search finds the same breakpoint a linear scan
+/// would, bit for bit, because the float predicate `S(b) >= total` is
+/// monotone over the sorted breakpoints: each `clamp(b, loᵢ, hiᵢ)` is
+/// nondecreasing in `b`, `S` adds them in one fixed order, and IEEE
+/// round-to-nearest addition is monotone (`a ≤ a'` and `c ≤ c'` imply
+/// `fl(a + c) ≤ fl(a' + c')`), so `b ≤ b'` gives `S(b) ≤ S(b')` in
+/// floats too. λ and every share are therefore those of the scan.
+///
 /// # Panics
 ///
 /// Panics when shapes mismatch, a bound is non-finite or negative, or
@@ -51,20 +61,22 @@ pub fn fill(budget: f64, lo: &[f64], hi: &[f64]) -> Vec<f64> {
 
     // S(λ) = Σ clamp(λ, lo, hi) is nondecreasing piecewise linear with
     // breakpoints exactly at the bounds. Find the first breakpoint at or
-    // above the target…
+    // above the target (the predicate is the negation of `>=` so that a
+    // NaN budget, which compares false everywhere, runs off the end)…
     let mut bps: Vec<f64> = lo.iter().chain(hi.iter()).copied().collect();
     bps.sort_by(f64::total_cmp);
     let s_at = |level: f64| -> f64 { lo.iter().zip(hi).map(|(&l, &h)| level.clamp(l, h)).sum() };
-    let lambda = match bps.iter().position(|&b| s_at(b) >= total) {
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    let k = bps.partition_point(|&b| !(s_at(b) >= total));
+    let lambda = match bps.get(k) {
         // …an exact hit on a breakpoint is that breakpoint;
-        Some(k) if s_at(bps[k]) == total => bps[k],
+        Some(&next) if s_at(next) == total => next,
         // …otherwise λ lies strictly inside the segment below breakpoint
         // `k`: the unclamped items contribute slope |U|, everything else
         // is a constant, and the segment solve is exact.
-        Some(k) => {
+        Some(&next) => {
             debug_assert!(k > 0, "S(min bound) = Σ lo <= total");
             let prev = bps[k - 1];
-            let next = bps[k];
             let mut fixed = 0.0;
             let mut unclamped = 0usize;
             for (&l, &h) in lo.iter().zip(hi) {
@@ -79,7 +91,8 @@ pub fn fill(budget: f64, lo: &[f64], hi: &[f64]) -> Vec<f64> {
             debug_assert!(unclamped > 0, "segment with S(next) > S(prev) has slope");
             (total - fixed) / unclamped as f64
         }
-        // S(max bound) = Σ hi >= total by the clamp above.
+        // S(max bound) = Σ hi >= total by the clamp above, so only a
+        // NaN budget gets here.
         None => bps[n * 2 - 1],
     };
     lo.iter()
@@ -121,6 +134,98 @@ mod tests {
 
     fn total_of(shares: &[f64]) -> f64 {
         shares.iter().sum()
+    }
+
+    /// [`fill`] with the breakpoint found by a linear scan instead of a
+    /// binary search: the reference its search must match bit for bit.
+    fn fill_linear_scan(budget: f64, lo: &[f64], hi: &[f64]) -> Vec<f64> {
+        let n = lo.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let sum_lo: f64 = lo.iter().sum();
+        let sum_hi: f64 = hi.iter().sum();
+        let total = budget.clamp(sum_lo, sum_hi);
+        let mut bps: Vec<f64> = lo.iter().chain(hi.iter()).copied().collect();
+        bps.sort_by(f64::total_cmp);
+        let s_at =
+            |level: f64| -> f64 { lo.iter().zip(hi).map(|(&l, &h)| level.clamp(l, h)).sum() };
+        let lambda = match bps.iter().position(|&b| s_at(b) >= total) {
+            Some(k) if s_at(bps[k]) == total => bps[k],
+            Some(k) => {
+                let prev = bps[k - 1];
+                let next = bps[k];
+                let mut fixed = 0.0;
+                let mut unclamped = 0usize;
+                for (&l, &h) in lo.iter().zip(hi) {
+                    if h <= prev {
+                        fixed += h;
+                    } else if l >= next {
+                        fixed += l;
+                    } else {
+                        unclamped += 1;
+                    }
+                }
+                (total - fixed) / unclamped as f64
+            }
+            None => bps[n * 2 - 1],
+        };
+        lo.iter()
+            .zip(hi)
+            .map(|(&l, &h)| lambda.clamp(l, h))
+            .collect()
+    }
+
+    /// [`divide`] over [`fill_linear_scan`].
+    fn divide_linear_scan(budget: f64, demand: &[f64], lo: &[f64], hi: &[f64]) -> Vec<f64> {
+        let d: Vec<f64> = demand
+            .iter()
+            .zip(lo.iter().zip(hi))
+            .map(|(&d, (&l, &h))| d.clamp(l, h))
+            .collect();
+        let want: f64 = d.iter().sum();
+        if budget <= want {
+            fill_linear_scan(budget, lo, &d)
+        } else {
+            fill_linear_scan(budget, &d, hi)
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One child's `(lo, hi, demand)` from a shape selector and three
+    /// draws. Half the shapes sit on a coarse grid so bounds and demands
+    /// collide across children (duplicate breakpoints, ties); the rest
+    /// are offline `[0, 0]`, zero-width at a grid point, or continuous.
+    fn child(shape: u8, g: (u32, u32, u32), x: (f64, f64, f64)) -> (f64, f64, f64) {
+        let grid = |k: u32| f64::from(k) * 2.5;
+        match shape {
+            0 => (0.0, 0.0, grid(g.2)),
+            1 => (grid(g.0), grid(g.0), x.2),
+            2 | 3 => (grid(g.0), grid(g.0) + grid(g.1), grid(g.2)),
+            _ => (x.0, x.0 + x.1, x.2),
+        }
+    }
+
+    /// A budget from a selector: outside `[Σlo, Σhi]` on either side,
+    /// exactly `S(b)` at one of the breakpoints, infinite or NaN, or a
+    /// point inside the range.
+    fn budget_for(sel: u8, frac: f64, lo: &[f64], hi: &[f64]) -> f64 {
+        let sum_lo: f64 = lo.iter().sum();
+        let sum_hi: f64 = hi.iter().sum();
+        let mut bps: Vec<f64> = lo.iter().chain(hi).copied().collect();
+        bps.sort_by(f64::total_cmp);
+        let at = bps[((frac * bps.len() as f64) as usize).min(bps.len() - 1)];
+        match sel {
+            0 => sum_lo * frac - 1.0,
+            1 => sum_hi * (1.0 + frac) + 1.0,
+            2 | 3 => lo.iter().zip(hi).map(|(&l, &h)| at.clamp(l, h)).sum(),
+            4 => f64::INFINITY,
+            5 => f64::NAN,
+            _ => sum_lo + (sum_hi - sum_lo) * frac,
+        }
     }
 
     #[test]
@@ -230,6 +335,40 @@ mod tests {
             for (x, y) in a.iter().zip(&b) {
                 prop_assert!(y >= x);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The binary breakpoint search returns exactly the linear
+        /// scan's shares, bit for bit, for `fill` and `divide` alike.
+        #[test]
+        fn binary_search_matches_the_linear_scan_bitwise(
+            n in 1usize..=256,
+            draws in proptest::collection::vec(
+                (0u8..8, (0u32..12, 0u32..12, 0u32..16), (0.0f64..60.0, 0.0f64..60.0, 0.0f64..90.0)),
+                256,
+            ),
+            sel in 0u8..10,
+            frac in 0.0f64..1.0,
+        ) {
+            let kids: Vec<(f64, f64, f64)> =
+                draws[..n].iter().map(|&(shape, g, x)| child(shape, g, x)).collect();
+            let lo: Vec<f64> = kids.iter().map(|k| k.0).collect();
+            let hi: Vec<f64> = kids.iter().map(|k| k.1).collect();
+            let demand: Vec<f64> = kids.iter().map(|k| k.2).collect();
+            let budget = budget_for(sel, frac, &lo, &hi);
+            prop_assert_eq!(
+                bits(&fill(budget, &lo, &hi)),
+                bits(&fill_linear_scan(budget, &lo, &hi)),
+                "fill, budget {budget}, n {n}"
+            );
+            prop_assert_eq!(
+                bits(&divide(budget, &demand, &lo, &hi)),
+                bits(&divide_linear_scan(budget, &demand, &lo, &hi)),
+                "divide, budget {budget}, n {n}"
+            );
         }
     }
 }
