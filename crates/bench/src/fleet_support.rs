@@ -241,18 +241,10 @@ pub fn run_analytic_fleet(
 ) -> Result<(Fleet<AnalyticModel>, FleetRun)> {
     let mut build = analytic_builder(dilation);
     let mut fleet = Fleet::new(spec, scenario, fraction, fleet_seed, &mut build)?;
-    let run = match fastcap_trace::hub() {
-        None => fleet.run(epochs)?,
-        Some(hub) => {
-            let mut tracer = hub.tracer();
-            let run = fleet.run_traced(epochs, Some(&mut tracer))?;
-            hub.submit(
-                format!("fleet/{cell}/b{fraction}/e{epochs}/s{fleet_seed}"),
-                tracer,
-            );
-            run
-        }
-    };
+    let run = fastcap_trace::hub::traced(
+        || format!("fleet/{cell}/b{fraction}/e{epochs}/s{fleet_seed}"),
+        |t| fleet.run_traced(epochs, t),
+    )?;
     ensure_conserved(cell, &run)?;
     Ok((fleet, run))
 }

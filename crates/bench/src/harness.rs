@@ -264,22 +264,16 @@ pub fn run_capped_only(
     // (pinned by the golden-hash suite) while letting the fleet layer run
     // the same decision cycle against any model tier.
     let mut loop_ = ClosedLoop::new(server, policy);
-    match fastcap_trace::hub() {
-        None => Ok(loop_.run(epochs)),
-        Some(hub) => {
-            let mut tracer = hub.tracer();
-            let result = loop_.run_traced(epochs, Some(&mut tracer));
-            hub.submit(
-                format!(
-                    "cap/{}/{}/b{budget_frac}/e{epochs}/s{seed}",
-                    mix.name,
-                    kind.name()
-                ),
-                tracer,
-            );
-            Ok(result)
-        }
-    }
+    Ok(fastcap_trace::hub::traced(
+        || {
+            format!(
+                "cap/{}/{}/b{budget_frac}/e{epochs}/s{seed}",
+                mix.name,
+                kind.name()
+            )
+        },
+        |t| loop_.run_traced(epochs, t),
+    ))
 }
 
 /// Resolves the scenario an `scn_*` artifact runs: the `--scenario` file
@@ -334,24 +328,18 @@ pub fn run_scenario(
             Some(&mut factory)
         }
     };
-    match fastcap_trace::hub() {
-        None => runner.run_traced(&mut server, epochs, factory, None),
-        Some(hub) => {
-            let mut tracer = hub.tracer();
-            let result = runner.run_traced(&mut server, epochs, factory, Some(&mut tracer));
-            hub.submit(
-                format!(
-                    "scn/{}/{}/b{}x{}/e{epochs}/s{seed}",
-                    mix.name,
-                    kind.map_or("uncapped", PolicyKind::name),
-                    runner.initial_budget(),
-                    runner.budget_moves().len(),
-                ),
-                tracer,
-            );
-            result
-        }
-    }
+    fastcap_trace::hub::traced(
+        || {
+            format!(
+                "scn/{}/{}/b{}x{}/e{epochs}/s{seed}",
+                mix.name,
+                kind.map_or("uncapped", PolicyKind::name),
+                runner.initial_budget(),
+                runner.budget_moves().len(),
+            )
+        },
+        |t| runner.run_traced(&mut server, epochs, factory, t),
+    )
 }
 
 /// Pools per-application degradations from several runs and returns

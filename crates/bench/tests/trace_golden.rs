@@ -35,10 +35,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// `repro trace <artifact> --quick --seed 42`. Pinned at the same seed
 /// and mode as the artifact goldens; a flip here without a deliberate
 /// trace-format change means event order, the modeled clock, or a
-/// decision record drifted. `fleet_settle` covers the fleet tracks the
-/// scenario traces lack: `TreeAlloc` counters, the per-node `child{c}_w`
-/// tracks, and fleet control events.
+/// decision record drifted. `fig4` covers the plain capped loop
+/// (`ClosedLoop::run_traced`, one `cap/` stream with its epoch-0
+/// bootstrap decision) that the scenario and fleet runners wrap.
+/// `fleet_settle` covers the fleet tracks the scenario traces lack:
+/// `TreeAlloc` counters, the per-node `child{c}_w` tracks, and fleet
+/// control events.
 const TRACE_GOLDEN: &[(&str, u64)] = &[
+    ("fig4.trace.json", 0x1e91_877f_f449_49c7),
     ("scn_capstep.trace.json", 0xe2c2_09d2_bafd_0514),
     ("scn_hotplug.trace.json", 0x3ded_2b00_ad0c_0a35),
     ("fleet_settle.trace.json", 0xc580_6289_3035_97ce),
@@ -109,7 +113,7 @@ fn trace_bytes_are_pinned_at_any_job_and_lane_count() {
         // `repro trace` defaults the trace file into the out dir as
         // `<artifact>.trace.json`; one invocation per artifact because a
         // single trace file holds one artifact's streams.
-        for artifact in ["scn_capstep", "scn_hotplug", "fleet_settle"] {
+        for artifact in ["fig4", "scn_capstep", "scn_hotplug", "fleet_settle"] {
             run_repro(&[
                 "trace",
                 artifact,

@@ -83,13 +83,7 @@ impl DesModel {
     /// check and pin-test comparison object.
     #[must_use]
     pub fn result(&self) -> RunResult {
-        let cfg = self.inner.config();
-        RunResult {
-            n_cores: cfg.n_cores,
-            sim_epoch_length: cfg.sim_epoch_length(),
-            peak_power: cfg.peak_power,
-            epochs: self.reports.clone(),
-        }
+        RunResult::new(self.inner.config(), self.reports.clone())
     }
 }
 

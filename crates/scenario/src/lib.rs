@@ -16,10 +16,9 @@
 //!   (`overlay`) layered over each application's own
 //!   [`PhaseSpec`](fastcap_workloads::PhaseSpec);
 //! * **core hotplug** — cores vanishing and reappearing
-//!   (`cores_offline` / `cores_online`), with the policy rebuilt for the
-//!   new online set — or, with
-//!   [`ScenarioRunner::with_warm_hotplug`], warm-carrying the surviving
-//!   cores' fitted models so the transient isolates allocation.
+//!   (`cores_offline` / `cores_online`), warm-carrying the surviving
+//!   cores' fitted models so the transient isolates allocation; policies
+//!   that decline the carry are rebuilt for the new online set.
 //!
 //! Beyond hand-written files, [`generate`] samples scenarios from a
 //! seeded composable motif grammar (deterministic and lint-clean by

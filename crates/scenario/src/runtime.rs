@@ -14,28 +14,28 @@
 //!
 //! ## Hotplug and the policy
 //!
-//! Budget moves go through [`CappingPolicy::on_budget_change`]: learned
-//! state survives and the next decision re-solves against the new cap.
-//! Active-set changes instead **rebuild** the policy for the new online
-//! core count (controllers model a fixed `N`): the rebuilt controller
-//! re-converges its power models over the next few epochs — that
-//! re-balance transient is exactly what the `scn_hotplug` artifact
-//! measures. Observations are projected onto the online cores before each
-//! decision and the decision is scattered back (offline cores pinned to
-//! the lowest frequency; the simulator power-gates them regardless).
+//! The runner steps one [`ClosedLoop`] over the installed server; the
+//! loop owns observe → decide → actuate and the trace records. Budget
+//! moves go through [`CappingPolicy::on_budget_change`]: learned state
+//! survives and the next decision re-solves against the new cap.
+//! Active-set changes move the loop's core mask (observations projected
+//! onto the online cores, decisions scattered back) and **warm-carry**
+//! the policy: surviving cores keep their fitted models, so the
+//! `scn_hotplug` transient isolates re-allocation. Policies that decline
+//! the carry ([`CappingPolicy::on_active_set_change`] returns `false`)
+//! are **rebuilt** by the factory for the new online core count and
+//! re-converge their power models over the next few epochs.
 
 use crate::format::{Action, Scenario};
-use fastcap_core::capper::DvfsDecision;
-use fastcap_core::cost::CostCounter;
-use fastcap_core::counters::EpochObservation;
 use fastcap_core::error::{Error, Result};
-use fastcap_policies::CappingPolicy;
+use fastcap_policies::{CappingPolicy, ClosedLoop};
 use fastcap_sim::{ControlAction, RunResult, Server};
-use fastcap_trace::{DecisionRecord, LaneRecord, TraceEvent, Tracer};
+use fastcap_trace::{TraceEvent, Tracer};
 use fastcap_workloads::{spec, AppInstance, PhaseSpec};
 
 /// Builds a policy for `n_active` online cores under `budget_fraction`.
-/// Called once up front and again on every active-set change.
+/// Called once up front and again on every active-set change the policy
+/// declines to warm-carry.
 pub type PolicyFactory<'a> = dyn FnMut(usize, f64) -> Result<Box<dyn CappingPolicy>> + 'a;
 
 /// A compiled scenario, ready to install on a server and run.
@@ -51,11 +51,6 @@ pub struct ScenarioRunner {
     /// Server-side actions, epoch-sorted (stable within an epoch in
     /// declaration order).
     server_actions: Vec<(u64, ControlAction)>,
-    /// Hotplug policy handling: `false` (default) rebuilds the policy on
-    /// every active-set change; `true` first offers the change to
-    /// [`CappingPolicy::on_active_set_change`] so supporting policies
-    /// warm-carry the surviving cores' fitted models.
-    warm_hotplug: bool,
 }
 
 impl ScenarioRunner {
@@ -193,25 +188,7 @@ impl ScenarioRunner {
             budget_schedule,
             mask_schedule,
             server_actions,
-            warm_hotplug: true,
         })
-    }
-
-    /// Switches hotplug handling between **warm carry** (the default) and
-    /// **rebuild**. Under warm carry an active-set change is first offered
-    /// to the policy via [`CappingPolicy::on_active_set_change`]
-    /// (surviving cores keep their fitted power models; newcomers start
-    /// cold), falling back to a factory rebuild when the policy does not
-    /// support it. Warm carry became the default once the loose-cap bias
-    /// fixes landed: on the `scn_hotplug` return transient it overshoots
-    /// *less* than a rebuild (0.2% vs 0.8% worst, both oracle-green at
-    /// the tightened tolerance), because survivors' fitted models are
-    /// strictly better information than the initial laws. Pass `false`
-    /// to measure the conservative rebuild transient instead.
-    #[must_use]
-    pub fn with_warm_hotplug(mut self, on: bool) -> Self {
-        self.warm_hotplug = on;
-        self
     }
 
     /// The budget fraction in force at epoch 0.
@@ -299,16 +276,7 @@ impl ScenarioRunner {
     /// Returns [`Error::InvalidConfig`] when the server's core count does
     /// not match the scenario, or scheduling fails.
     pub fn install(&self, server: &mut Server) -> Result<()> {
-        if server.config().n_cores != self.n_cores {
-            return Err(Error::InvalidConfig {
-                what: "scenario",
-                why: format!(
-                    "scenario targets {} cores but the server has {}",
-                    self.n_cores,
-                    server.config().n_cores
-                ),
-            });
-        }
+        self.check_cores(server)?;
         for (epoch, action) in &self.server_actions {
             server.schedule_control(*epoch, action.clone())?;
         }
@@ -316,14 +284,15 @@ impl ScenarioRunner {
     }
 
     /// Runs `epochs` epochs of the scenario on an installed server.
-    /// `factory` builds the capping policy (and rebuilds it on hotplug);
-    /// `None` runs the uncapped baseline (maximum frequencies) under the
-    /// same scenario perturbations.
+    /// `factory` builds the capping policy (and rebuilds it when a hotplug
+    /// move is not warm-carried); `None` runs the uncapped baseline
+    /// (maximum frequencies) under the same scenario perturbations.
     ///
     /// # Errors
     ///
-    /// Propagates policy construction/decision failures and budget-change
-    /// rejections.
+    /// Propagates policy construction failures and budget-change or
+    /// active-set-change rejections; a decide error only holds the
+    /// current frequencies for its epoch.
     pub fn run(
         &self,
         server: &mut Server,
@@ -333,20 +302,18 @@ impl ScenarioRunner {
         self.run_traced(server, epochs, factory, None)
     }
 
-    /// [`ScenarioRunner::run`] with an optional audit-trail tracer. When
-    /// `trace` is `Some`, every epoch appends an [`TraceEvent::EpochSpan`],
-    /// a [`DecisionRecord`] (capped runs), a lane-engine record, and a
-    /// control event per scenario move to the tracer's ring, timestamped by
-    /// the modeled-cost clock (the server + policy [`CostCounter`] deltas
-    /// priced by the tracer's weights). Tracing reads the counters the run
-    /// already maintains and never mutates them, so the simulated artifact
-    /// bytes are identical with `trace` `Some` or `None` (pinned by this
-    /// crate's tests and the bench trace goldens).
+    /// [`ScenarioRunner::run`] with an optional audit-trail tracer. Each
+    /// epoch applies the scenario's budget and mask moves (recording a
+    /// control event per move when `trace` is `Some`), then steps the
+    /// [`ClosedLoop`], which records the epoch span, decision and lane
+    /// records on the modeled-cost clock. Tracing reads the counters the
+    /// run already maintains and never mutates them, so the simulated
+    /// artifact bytes are identical with `trace` `Some` or `None` (pinned
+    /// by this crate's tests and the bench trace goldens).
     ///
     /// # Errors
     ///
-    /// Propagates policy construction/decision failures and budget-change
-    /// rejections, exactly as [`ScenarioRunner::run`].
+    /// As [`ScenarioRunner::run`].
     pub fn run_traced(
         &self,
         server: &mut Server,
@@ -354,39 +321,21 @@ impl ScenarioRunner {
         mut factory: Option<&mut PolicyFactory<'_>>,
         mut trace: Option<&mut Tracer>,
     ) -> Result<RunResult> {
-        let n = server.config().n_cores;
-        if n != self.n_cores {
-            return Err(Error::InvalidConfig {
-                what: "scenario",
-                why: format!(
-                    "scenario targets {} cores but the server has {}",
-                    self.n_cores, n
-                ),
-            });
-        }
+        self.check_cores(server)?;
+        let n = self.n_cores;
         let mut budget = self.initial_budget;
-        let mut mask = vec![true; n];
-        let mut policy = match factory.as_mut() {
-            Some(f) => Some(f(n, budget)?),
-            None => None,
+        let mut cl = match factory.as_mut() {
+            Some(f) => ClosedLoop::new(server, f(n, budget)?),
+            None => ClosedLoop::uncapped(server),
         };
         let mut bi = 0;
         let mut mi = 0;
         let mut reports = Vec::with_capacity(epochs);
-        // Cost snapshots for the modeled trace clock: the clock advances by
-        // the *delta* each epoch adds, so it stays monotonic across policy
-        // rebuilds (which zero the policy-side counter).
-        let mut server_cost = server.cost();
-        let mut policy_cost = policy
-            .as_ref()
-            .map_or_else(CostCounter::default, |p| p.decision_cost());
         for e in 0..epochs as u64 {
-            let prev_mask = mask.clone();
-            let mut mask_changed = false;
+            let mut mask = None;
             while mi < self.mask_schedule.len() && self.mask_schedule[mi].0 <= e {
-                mask = self.mask_schedule[mi].1.clone();
+                mask = Some(&self.mask_schedule[mi].1);
                 mi += 1;
-                mask_changed = true;
             }
             let mut budget_changed = false;
             while bi < self.budget_schedule.len() && self.budget_schedule[bi].0 <= e {
@@ -394,17 +343,17 @@ impl ScenarioRunner {
                 bi += 1;
                 budget_changed = true;
             }
-            if let Some(t) = trace.as_deref_mut() {
-                if budget_changed {
-                    t.record(TraceEvent::Control {
-                        epoch: e,
-                        kind: "budget_step",
-                        detail: format!("fraction={budget}"),
-                    });
-                    t.metrics.counter_add("scenario.budget_moves", 1);
-                }
-                if mask_changed {
-                    let online = mask.iter().filter(|&&a| a).count();
+            if let (true, Some(t)) = (budget_changed, trace.as_deref_mut()) {
+                t.record(TraceEvent::Control {
+                    epoch: e,
+                    kind: "budget_step",
+                    detail: format!("fraction={budget}"),
+                });
+                t.metrics.counter_add("scenario.budget_moves", 1);
+            }
+            if let Some(mask) = mask {
+                let online = mask.iter().filter(|&&a| a).count();
+                if let Some(t) = trace.as_deref_mut() {
                     t.record(TraceEvent::Control {
                         epoch: e,
                         kind: "hotplug",
@@ -412,204 +361,46 @@ impl ScenarioRunner {
                     });
                     t.metrics.counter_add("scenario.hotplug_moves", 1);
                 }
-            }
-            if let Some(f) = factory.as_mut() {
-                if mask_changed {
-                    let carried_ok = self.warm_hotplug
-                        && policy
-                            .as_mut()
-                            .expect("factory implies a policy")
-                            .on_active_set_change(&carry_map(&prev_mask, &mask))?;
-                    if carried_ok {
-                        // Warm carry: survivors keep their fitted models;
-                        // a same-epoch budget move still applies.
-                        if budget_changed {
-                            policy
-                                .as_mut()
-                                .expect("factory implies a policy")
-                                .on_budget_change(budget)?;
-                        }
-                    } else {
-                        // Rebuild for the new online set; the fresh
-                        // controller re-learns its models (the hotplug
-                        // transient). The rebuilt policy's counter restarts
-                        // at zero, so the trace-clock snapshot must too.
-                        let active = mask.iter().filter(|&&a| a).count();
-                        policy = Some(f(active, budget)?);
-                        policy_cost = CostCounter::default();
-                    }
-                } else if budget_changed {
-                    policy
-                        .as_mut()
-                        .expect("factory implies a policy")
-                        .on_budget_change(budget)?;
+                if !cl.set_active_mask(mask.clone())? {
+                    // The policy declined the warm carry: rebuild it for
+                    // the new online set, already under the in-force
+                    // budget.
+                    let f = factory.as_mut().expect("only a policy declines carry");
+                    cl.replace_policy(f(online, budget)?);
+                    budget_changed = false;
                 }
             }
-            let decision = match (&mut policy, server.observation()) {
-                (Some(p), Some(obs)) => {
-                    let d = p.decide(&project(&obs, &mask))?;
-                    Some(scatter(d, &mask))
-                }
-                // Epoch 0: no observation yet — model-predictive policies
-                // bootstrap from their initial laws so the first epoch
-                // already runs under the cap.
-                (Some(p), None) => p.bootstrap().map(|d| scatter(d, &mask)),
-                _ => None,
-            };
-            let (observed_w, bank_queue) = server.observation().map_or((0.0, 0.0), |obs| {
-                (obs.total_power.get(), obs.memory.bank_queue)
-            });
-            let report = server.run_epoch(decision.as_ref());
-            if let Some(t) = trace.as_deref_mut() {
-                let policy_delta = policy.as_ref().map(|p| {
-                    let d = p.decision_cost().delta_since(&policy_cost);
-                    policy_cost = p.decision_cost();
-                    d
-                });
-                let server_delta = {
-                    let now = server.cost();
-                    let d = now.delta_since(&server_cost);
-                    server_cost = now;
-                    d
-                };
-                let t_start_ns = t.now_ns();
-                let mut epoch_delta = server_delta;
-                if let Some(pd) = &policy_delta {
-                    epoch_delta.add(pd);
-                }
-                t.advance(&epoch_delta);
-                let measured_w = report.total_power.get();
-                t.record_at(
-                    t_start_ns,
-                    TraceEvent::EpochSpan {
-                        epoch: e,
-                        t_start_ns,
-                        t_end_ns: t.now_ns(),
-                        power_w: measured_w,
-                    },
-                );
-                if let (Some(p), Some(d), Some(pd)) = (&policy, &decision, &policy_delta) {
-                    let budget_w = p.in_force_budget().map(fastcap_core::units::Watts::get);
-                    t.record(TraceEvent::Decision(DecisionRecord {
-                        epoch: e,
-                        policy: p.name().to_string(),
-                        budget_w,
-                        observed_w,
-                        solver_iters: pd.solver_iters,
-                        candidates: pd.grid_points + pd.bus_evals,
-                        core_freqs: d.core_freqs.clone(),
-                        mem_freq: d.mem_freq,
-                        predicted_w: d.predicted_power.get(),
-                        quantized_w: d.quantized_power.get(),
-                        trim_w: d.budget_trim.get(),
-                        measured_w,
-                        slack_w: budget_w.map(|b| b - measured_w),
-                        budget_bound: d.budget_bound,
-                        emergency: d.emergency,
-                        decide_ns: t.price_ns(pd),
-                    }));
-                    t.metrics.counter_add("policy.decisions", 1);
-                    if let Some(b) = budget_w {
-                        if b > 0.0 {
-                            t.metrics.histogram_observe(
-                                "policy.overshoot_pct",
-                                &[0.0, 1.0, 2.0, 5.0, 10.0, 20.0],
-                                (measured_w - b) / b * 100.0,
-                            );
-                        }
-                    }
-                }
-                t.record(TraceEvent::Lane(LaneRecord {
-                    epoch: e,
-                    prefill_draws: server_delta.rng_draws,
-                    refill_fallbacks: server_delta.lane_syncs,
-                    barrier_waits: server_delta.barrier_waits,
-                }));
-                t.metrics.gauge_set("sim.mem_bank_queue", bank_queue);
+            if budget_changed {
+                cl.set_budget_fraction(budget)?;
             }
-            reports.push(report);
+            reports.push(cl.step_traced(trace.as_deref_mut()));
         }
-        let cfg = server.config();
-        Ok(RunResult {
-            n_cores: n,
-            sim_epoch_length: cfg.sim_epoch_length(),
-            peak_power: cfg.peak_power,
-            epochs: reports,
+        Ok(RunResult::new(cl.config(), reports))
+    }
+
+    fn check_cores(&self, server: &Server) -> Result<()> {
+        let n = server.config().n_cores;
+        if n == self.n_cores {
+            return Ok(());
+        }
+        Err(Error::InvalidConfig {
+            what: "scenario",
+            why: format!(
+                "scenario targets {} cores but the server has {n}",
+                self.n_cores
+            ),
         })
     }
-}
-
-/// Builds the warm-carry map for an online-mask change: entry `j` of the
-/// result names the position (within the *previous* online set) of the
-/// `j`-th newly-online core, or `None` for a core that was offline before
-/// (no prior state). Policies model online cores contiguously in mask
-/// order, so positions — not raw core indices — are what carries.
-fn carry_map(prev: &[bool], now: &[bool]) -> Vec<Option<usize>> {
-    let prev_pos: Vec<Option<usize>> = {
-        let mut at = 0usize;
-        prev.iter()
-            .map(|&a| {
-                if a {
-                    at += 1;
-                    Some(at - 1)
-                } else {
-                    None
-                }
-            })
-            .collect()
-    };
-    now.iter()
-        .enumerate()
-        .filter(|&(_, &a)| a)
-        .map(|(c, _)| prev_pos[c])
-        .collect()
-}
-
-/// Projects an observation onto the online cores (no-op for a full mask).
-fn project(obs: &EpochObservation, mask: &[bool]) -> EpochObservation {
-    if mask.iter().all(|&a| a) {
-        return obs.clone();
-    }
-    let keep = |i: &usize| mask[*i];
-    let mut out = obs.clone();
-    out.cores = obs
-        .cores
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| keep(i))
-        .map(|(_, s)| *s)
-        .collect();
-    if !obs.access_weights.is_empty() {
-        out.access_weights = obs
-            .access_weights
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| keep(i))
-            .map(|(_, w)| w.clone())
-            .collect();
-    }
-    out
-}
-
-/// Scatters a decision over the online cores back to the full core list;
-/// offline cores are pinned to the lowest frequency (they are power-gated
-/// in the simulator regardless).
-fn scatter(d: DvfsDecision, mask: &[bool]) -> DvfsDecision {
-    if mask.iter().all(|&a| a) {
-        return d;
-    }
-    let mut it = d.core_freqs.iter().copied();
-    let core_freqs = mask
-        .iter()
-        .map(|&a| if a { it.next().unwrap_or(0) } else { 0 })
-        .collect();
-    DvfsDecision { core_freqs, ..d }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::format::ScenarioEvent;
+    use fastcap_core::capper::DvfsDecision;
+    use fastcap_core::cost::CostCounter;
+    use fastcap_core::counters::EpochObservation;
+    use fastcap_core::units::Watts;
     use fastcap_policies::FastCapPolicy;
     use fastcap_sim::SimConfig;
     use fastcap_workloads::mixes;
@@ -631,6 +422,80 @@ mod tests {
         move |n_active, budget| {
             let ctl = cfg.controller_config_n(budget, n_active)?;
             Ok(Box::new(FastCapPolicy::new(ctl)?) as Box<dyn CappingPolicy>)
+        }
+    }
+
+    /// FastCap behind a test seam: `carry: false` declines warm carry, so
+    /// every hotplug move takes the factory-rebuild fallback, and decide
+    /// call `n` fails for each `n` in `fail` (call 1 decides epoch 1;
+    /// epoch 0 is the bootstrap).
+    struct Stub {
+        inner: FastCapPolicy,
+        carry: bool,
+        fail: &'static [u64],
+        calls: u64,
+    }
+
+    impl Stub {
+        fn boxed(
+            inner: FastCapPolicy,
+            carry: bool,
+            fail: &'static [u64],
+        ) -> Box<dyn CappingPolicy> {
+            Box::new(Stub {
+                inner,
+                carry,
+                fail,
+                calls: 0,
+            })
+        }
+    }
+
+    impl CappingPolicy for Stub {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn decide(&mut self, obs: &EpochObservation) -> Result<DvfsDecision> {
+            self.calls += 1;
+            if self.fail.contains(&self.calls) {
+                return Err(Error::InvalidModel {
+                    why: format!("stub failure on call {}", self.calls),
+                });
+            }
+            self.inner.decide(obs)
+        }
+        fn bootstrap(&mut self) -> Option<DvfsDecision> {
+            self.inner.bootstrap()
+        }
+        fn on_budget_change(&mut self, fraction: f64) -> Result<()> {
+            self.inner.on_budget_change(fraction)
+        }
+        fn on_active_set_change(&mut self, carried: &[Option<usize>]) -> Result<bool> {
+            if self.carry {
+                self.inner.on_active_set_change(carried)
+            } else {
+                Ok(false)
+            }
+        }
+        fn decision_cost(&self) -> CostCounter {
+            self.inner.decision_cost()
+        }
+        fn in_force_budget(&self) -> Option<Watts> {
+            self.inner.in_force_budget()
+        }
+    }
+
+    /// A FastCap factory that records each build's online core count;
+    /// `carry: false` declines warm carry (see [`Stub`]).
+    fn recording_factory<'a>(
+        cfg: &'a SimConfig,
+        carry: bool,
+        builds: &'a mut Vec<usize>,
+    ) -> impl FnMut(usize, f64) -> Result<Box<dyn CappingPolicy>> + 'a {
+        move |n_active, budget| {
+            builds.push(n_active);
+            let p = FastCapPolicy::new(cfg.controller_config_n(budget, n_active)?)?;
+            Ok(Stub::boxed(p, carry, &[]))
         }
     }
 
@@ -660,12 +525,7 @@ mod tests {
             };
             reports.push(EpochBackend::run_epoch(&mut plain, d.as_ref()));
         }
-        let r_plain = fastcap_sim::metrics::RunResult {
-            n_cores: 16,
-            sim_epoch_length: cfg.sim_epoch_length(),
-            peak_power: cfg.peak_power,
-            epochs: reports,
-        };
+        let r_plain = RunResult::new(&cfg, reports);
         // Scenario run with zero events.
         let runner = ScenarioRunner::new(&Scenario::empty(16), 0.6).unwrap();
         let mut srv = Server::for_workload(cfg.clone(), &mix, 11).unwrap();
@@ -673,6 +533,61 @@ mod tests {
         let mut factory = fastcap_factory(&cfg);
         let r_scn = runner.run(&mut srv, 12, Some(&mut factory)).unwrap();
         assert_eq!(r_plain, r_scn);
+    }
+
+    #[test]
+    fn decide_errors_hold_frequencies_in_both_runners() {
+        let cfg = quick_cfg(16);
+        let mix = mixes::by_name("MID2").unwrap();
+        let flaky = |n_active: usize, budget: f64| -> Result<Box<dyn CappingPolicy>> {
+            let ctl = cfg.controller_config_n(budget, n_active)?;
+            Ok(Stub::boxed(FastCapPolicy::new(ctl)?, true, &[3, 4, 9]))
+        };
+        let tracer = || Tracer::new(1 << 12, [1.0; fastcap_core::cost::OPS.len()]);
+
+        let mut t_plain = tracer();
+        let srv = Server::for_workload(cfg.clone(), &mix, 11).unwrap();
+        let r_plain =
+            ClosedLoop::new(srv, flaky(16, 0.6).unwrap()).run_traced(14, Some(&mut t_plain));
+
+        let runner = ScenarioRunner::new(&Scenario::empty(16), 0.6).unwrap();
+        let mut srv = Server::for_workload(cfg.clone(), &mix, 11).unwrap();
+        runner.install(&mut srv).unwrap();
+        let mut factory = flaky;
+        let mut t_scn = tracer();
+        let r_scn = runner
+            .run_traced(&mut srv, 14, Some(&mut factory), Some(&mut t_scn))
+            .expect("a decide error must not abort the scenario run");
+
+        assert_eq!(r_plain, r_scn);
+        // Each failed epoch holds the frequencies of the epoch before it.
+        for e in [3, 4, 9] {
+            assert_eq!(
+                r_plain.epochs[e].core_freq_idx,
+                r_plain.epochs[e - 1].core_freq_idx,
+                "epoch {e}"
+            );
+        }
+        let errors = |t: &Tracer| -> Vec<u64> {
+            t.events()
+                .filter_map(|s| match &s.event {
+                    TraceEvent::Control {
+                        epoch,
+                        kind: "decide_error",
+                        ..
+                    } => Some(*epoch),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(errors(&t_plain), vec![3, 4, 9]);
+        assert_eq!(
+            t_plain.metrics.get("policy.decide_errors"),
+            Some(&fastcap_trace::Metric::Counter(3))
+        );
+        // One loop: the whole audit trail matches, not only the errors.
+        assert!(t_plain.events().eq(t_scn.events()));
+        assert_eq!(t_plain.metrics, t_scn.metrics);
     }
 
     #[test]
@@ -746,20 +661,15 @@ mod tests {
                 },
             },
         ]);
-        // Rebuild mode, explicitly: this test pins the factory-rebuild
-        // path (warm carry is the default since the bias-fix PR).
-        let runner = ScenarioRunner::new(&s, 0.6)
-            .unwrap()
-            .with_warm_hotplug(false);
+        // A policy that declines warm carry: this test pins the
+        // factory-rebuild fallback.
+        let runner = ScenarioRunner::new(&s, 0.6).unwrap();
         let mut rebuilds = Vec::new();
-        let mut factory = |n_active: usize, budget: f64| {
-            rebuilds.push(n_active);
-            let ctl = cfg.controller_config_n(budget, n_active)?;
-            Ok(Box::new(FastCapPolicy::new(ctl)?) as Box<dyn CappingPolicy>)
-        };
+        let mut factory = recording_factory(&cfg, false, &mut rebuilds);
         let mut srv = server("MID1", 7);
         runner.install(&mut srv).unwrap();
         let r = runner.run(&mut srv, 20, Some(&mut factory)).unwrap();
+        drop(factory);
         assert_eq!(rebuilds, vec![16, 12, 16], "initial + two hotplug rebuilds");
         // Offline window: cores 0-3 are gated, decisions still apply to
         // the remaining 12.
@@ -776,27 +686,6 @@ mod tests {
                 r.epochs[e].total_power
             );
         }
-    }
-
-    #[test]
-    fn carry_map_positions_survivors() {
-        // 4 cores, core 1 goes offline: survivors 0,2,3 keep positions.
-        let all = [true, true, true, true];
-        let off1 = [true, false, true, true];
-        assert_eq!(carry_map(&all, &off1), vec![Some(0), Some(2), Some(3)]);
-        // Core 1 returns: it is cold (None), the rest map back.
-        assert_eq!(
-            carry_map(&off1, &all),
-            vec![Some(0), None, Some(1), Some(2)]
-        );
-        // Simultaneous swap: 1 returns while 3 leaves.
-        let off3 = [true, true, true, false];
-        assert_eq!(carry_map(&off1, &off3), vec![Some(0), None, Some(1)]);
-        // No change: identity.
-        assert_eq!(
-            carry_map(&all, &all),
-            vec![Some(0), Some(1), Some(2), Some(3)]
-        );
     }
 
     #[test]
@@ -821,19 +710,14 @@ mod tests {
                 },
             },
         ]);
+        let runner = ScenarioRunner::new(&s, 0.6).unwrap();
         let run_with = |warm: bool| {
-            let runner = ScenarioRunner::new(&s, 0.6)
-                .unwrap()
-                .with_warm_hotplug(warm);
             let mut builds = Vec::new();
-            let mut factory = |n_active: usize, budget: f64| {
-                builds.push(n_active);
-                let ctl = cfg.controller_config_n(budget, n_active)?;
-                Ok(Box::new(FastCapPolicy::new(ctl)?) as Box<dyn CappingPolicy>)
-            };
+            let mut factory = recording_factory(&cfg, warm, &mut builds);
             let mut srv = server("MID1", 7);
             runner.install(&mut srv).unwrap();
             let r = runner.run(&mut srv, 24, Some(&mut factory)).unwrap();
+            drop(factory);
             (r, builds)
         };
         let (r_warm, b_warm) = run_with(true);
@@ -906,46 +790,5 @@ mod tests {
         }]);
         assert!(ScenarioRunner::new(&bad, 0.6).is_err());
         assert!(ScenarioRunner::new(&Scenario::empty(16), 0.0).is_err());
-    }
-
-    #[test]
-    fn projection_and_scatter_are_inverse_shapes() {
-        let obs = fastcap_core::counters::EpochObservation::single(
-            (0..4)
-                .map(|i| fastcap_core::counters::CoreSample {
-                    freq: fastcap_core::units::Hz::from_ghz(4.0),
-                    busy_time_per_instruction: fastcap_core::units::Secs::from_nanos(0.3),
-                    instructions: 1000 + i,
-                    last_level_misses: 100,
-                    power: fastcap_core::units::Watts(4.0),
-                })
-                .collect(),
-            fastcap_core::counters::MemorySample {
-                bus_freq: fastcap_core::units::Hz::from_mhz(800.0),
-                bank_queue: 1.0,
-                bus_queue: 1.0,
-                bank_service_time: fastcap_core::units::Secs::from_nanos(20.0),
-                power: fastcap_core::units::Watts(20.0),
-            },
-            fastcap_core::units::Watts(50.0),
-        );
-        let mask = [true, false, true, false];
-        let p = project(&obs, &mask);
-        assert_eq!(p.cores.len(), 2);
-        assert_eq!(p.cores[0].instructions, 1000);
-        assert_eq!(p.cores[1].instructions, 1002);
-        let d = DvfsDecision {
-            core_freqs: vec![7, 3],
-            mem_freq: 5,
-            predicted_power: fastcap_core::units::Watts(40.0),
-            quantized_power: fastcap_core::units::Watts(40.0),
-            budget_trim: fastcap_core::units::Watts(0.0),
-            degradation: 1.1,
-            budget_bound: true,
-            emergency: false,
-        };
-        let full = scatter(d, &mask);
-        assert_eq!(full.core_freqs, vec![7, 0, 3, 0]);
-        assert_eq!(full.mem_freq, 5);
     }
 }

@@ -170,12 +170,7 @@ impl AnalyticServer {
             let decision = self.observation().and_then(|obs| policy(&obs));
             reports.push(self.run_epoch(decision.as_ref()));
         }
-        RunResult {
-            n_cores: self.cfg.n_cores,
-            sim_epoch_length: self.cfg.sim_epoch_length(),
-            peak_power: self.cfg.peak_power,
-            epochs: reports,
-        }
+        RunResult::new(&self.cfg, reports)
     }
 
     /// Runs one epoch, optionally applying a decision at its start.

@@ -46,6 +46,30 @@ pub trait EpochBackend {
     fn cost(&self) -> CostCounter;
 }
 
+/// A borrowed backend steps the same as an owned one, so a loop can drive
+/// a server its caller keeps (the scenario runner's installed [`Server`]).
+impl<B: EpochBackend + ?Sized> EpochBackend for &mut B {
+    fn config(&self) -> &SimConfig {
+        (**self).config()
+    }
+
+    fn observation(&self) -> Option<EpochObservation> {
+        (**self).observation()
+    }
+
+    fn run_epoch(&mut self, decision: Option<&DvfsDecision>) -> EpochReport {
+        (**self).run_epoch(decision)
+    }
+
+    fn ops(&self) -> u64 {
+        (**self).ops()
+    }
+
+    fn cost(&self) -> CostCounter {
+        (**self).cost()
+    }
+}
+
 impl EpochBackend for Server {
     fn config(&self) -> &SimConfig {
         Server::config(self)

@@ -1,6 +1,7 @@
 //! Run results: per-epoch reports and the aggregate metrics used by every
 //! figure of the evaluation.
 
+use crate::config::SimConfig;
 use fastcap_core::error::{Error, Result};
 use fastcap_core::fairness::{self, FairnessReport};
 use fastcap_core::units::{Secs, Watts};
@@ -41,6 +42,16 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// Packages per-epoch reports with the platform they ran on.
+    pub fn new(cfg: &SimConfig, epochs: Vec<EpochReport>) -> Self {
+        Self {
+            n_cores: cfg.n_cores,
+            sim_epoch_length: cfg.sim_epoch_length(),
+            peak_power: cfg.peak_power,
+            epochs,
+        }
+    }
+
     /// Mean full-system power over epochs `skip..`.
     pub fn avg_power(&self, skip: usize) -> Watts {
         let es = &self.epochs[skip.min(self.epochs.len())..];

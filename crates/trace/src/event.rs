@@ -62,9 +62,16 @@ pub struct DecisionRecord {
 pub struct LaneRecord {
     /// Epoch index within the run.
     pub epoch: u64,
-    /// RNG draws generated into lane streams this epoch (prefill depth).
+    /// The backend's `CostCounter::rng_draws` delta over the epoch: the
+    /// per-core sampling events (think times, accesses, meter noise)
+    /// consumed, not the draws prefilled into lane streams. The name
+    /// predates that meaning and is kept because it is in pinned trace
+    /// bytes.
     pub prefill_draws: u64,
-    /// Lane-stream refills at conservative sync points (refill fallbacks).
+    /// The backend's `CostCounter::lane_syncs` delta over the epoch:
+    /// every lane-stream sync, the epoch-barrier prefills included, not
+    /// only inline refill fallbacks. Named like
+    /// [`LaneRecord::prefill_draws`] for the same reason.
     pub refill_fallbacks: u64,
     /// Epoch-boundary hard barriers.
     pub barrier_waits: u64,

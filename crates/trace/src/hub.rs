@@ -76,6 +76,21 @@ pub fn hub() -> Option<&'static TraceHub> {
     HUB.get()
 }
 
+/// Runs `run` with a private tracer when the hub is armed, then submits
+/// the stream under `name()`; with `None` (and without building the
+/// name) when tracing is off.
+pub fn traced<R>(name: impl FnOnce() -> String, run: impl FnOnce(Option<&mut Tracer>) -> R) -> R {
+    match hub() {
+        None => run(None),
+        Some(hub) => {
+            let mut tracer = hub.tracer();
+            let out = run(Some(&mut tracer));
+            hub.submit(name(), tracer);
+            out
+        }
+    }
+}
+
 impl TraceHub {
     /// A fresh private tracer configured like the hub.
     #[must_use]
